@@ -11,8 +11,9 @@ package core
 // core-hours, exactly the paper's accounting.
 //
 // The campaign engine (campaign.go) instead records live spans
-// (campaign → step → job) as events execute; the two instrumentations
-// are complementary views, never mixed on one observer by the CLI.
+// (campaign → step → job) as events execute. Run drives the same engine
+// for the combined variants but unobserved, so the two views never mix
+// on one observer.
 
 // emitPhaseSpans records the workflow's phase breakdown on s.Obs as a
 // sequential timeline: the simulation job's phases back-to-back from 0,

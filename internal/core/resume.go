@@ -246,7 +246,7 @@ func ResumableCampaign(s *Scenario, timesteps int, outDir string, seed int64) (r
 			}
 		}
 	}()
-	rep, crashed, err := runCampaign(s, timesteps, hooks)
+	rep, crashed, err := runCampaign(s, CombinedCoScheduled, "sim", timesteps, hooks)
 	if err != nil {
 		return nil, err
 	}
