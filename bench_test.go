@@ -12,7 +12,8 @@ package repro
 import (
 	"fmt"
 	"math/rand"
-	"os"
+	"path/filepath"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -707,6 +708,19 @@ func BenchmarkParallelSort(b *testing.B) {
 	})
 }
 
+// campaignBenchScenario builds the fault-free scenario the 20-step
+// campaign benchmarks share. Synthesis takes about a second, so callers
+// build it once, before any timed loop.
+func campaignBenchScenario(b *testing.B) *core.Scenario {
+	b.Helper()
+	s, err := core.DownscaledScenario(3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s.PostQueueWait = 0
+	return s
+}
+
 // BenchmarkSupervisedCampaign measures the overhead of gray-failure
 // supervision on a fault-free campaign. The heartbeat is a pure function
 // polled once per miss window by a single watchdog event (not one event
@@ -715,33 +729,29 @@ func BenchmarkParallelSort(b *testing.B) {
 // target < 3%).
 func BenchmarkSupervisedCampaign(b *testing.B) {
 	const steps = 20
-	scenario := func(b *testing.B) *core.Scenario {
-		s, err := core.DownscaledScenario(3)
-		if err != nil {
-			b.Fatal(err)
-		}
-		s.PostQueueWait = 0
-		return s
-	}
+	base := campaignBenchScenario(b)
 	b.Run("baseline", func(b *testing.B) {
-		s := scenario(b)
+		s := *base
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := core.Campaign(s, steps); err != nil {
+			if _, err := core.Campaign(&s, steps); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("supervised", func(b *testing.B) {
-		s := scenario(b)
+		s := *base
 		pol := supervise.DefaultPolicy()
 		s.Supervise = &pol
 		var rep *core.CampaignReport
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			var err error
-			if rep, err = core.Campaign(s, steps); err != nil {
+			if rep, err = core.Campaign(&s, steps); err != nil {
 				b.Fatal(err)
 			}
 		}
+		b.StopTimer()
 		// Fault-free: supervision must watch every job and recover nothing.
 		if rep.Resilience.HedgesLaunched != 0 || rep.AnalysisJobs != steps {
 			b.Fatalf("fault-free supervised campaign misbehaved: %+v", rep.Resilience)
@@ -753,43 +763,35 @@ func BenchmarkSupervisedCampaign(b *testing.B) {
 // integrity layer on a persisted campaign: lineage ledger commits plus
 // co-scheduled background scrub jobs re-verifying every product. The
 // scrubbed run should stay within a few percent of the bare persisted
-// baseline (EXPERIMENTS.md tracks the measured ratio, target < 5%).
+// baseline (EXPERIMENTS.md tracks the measured ratio, target < 5%). Each
+// iteration persists into a fresh directory; the directories are removed
+// after the timed loop.
 func BenchmarkScrubbedCampaign(b *testing.B) {
 	const steps = 20
-	scenario := func(b *testing.B) *core.Scenario {
-		s, err := core.DownscaledScenario(3)
-		if err != nil {
-			b.Fatal(err)
-		}
-		s.PostQueueWait = 0
-		return s
-	}
+	base := campaignBenchScenario(b)
 	run := func(b *testing.B, s *core.Scenario) *core.CampaignReport {
 		b.Helper()
-		dir, err := os.MkdirTemp("", "scrubbench")
-		if err != nil {
-			b.Fatal(err)
+		root := b.TempDir()
+		var rep *core.CampaignReport
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			var err error
+			rep, err = core.ResumableCampaign(s, steps, filepath.Join(root, strconv.Itoa(i)), 3)
+			if err != nil {
+				b.Fatal(err)
+			}
 		}
-		defer os.RemoveAll(dir)
-		rep, err := core.ResumableCampaign(s, steps, dir, 3)
-		if err != nil {
-			b.Fatal(err)
-		}
+		b.StopTimer()
 		return rep
 	}
 	b.Run("baseline", func(b *testing.B) {
-		s := scenario(b)
-		for i := 0; i < b.N; i++ {
-			run(b, s)
-		}
+		s := *base
+		run(b, &s)
 	})
 	b.Run("scrubbed", func(b *testing.B) {
-		s := scenario(b)
+		s := *base
 		s.Scrub = &core.ScrubPolicy{}
-		var rep *core.CampaignReport
-		for i := 0; i < b.N; i++ {
-			rep = run(b, s)
-		}
+		rep := run(b, &s)
 		// Fault-free: every scrub verification must pass and repair nothing.
 		if rep.Integrity.Corruptions != 0 || rep.Integrity.Verified == 0 {
 			b.Fatalf("fault-free scrubbed campaign misbehaved: %+v", rep.Integrity)
@@ -806,34 +808,30 @@ func BenchmarkScrubbedCampaign(b *testing.B) {
 // tracks the measured ratios, target < 2%).
 func BenchmarkObservedCampaign(b *testing.B) {
 	const steps = 20
-	scenario := func(b *testing.B) *core.Scenario {
-		s, err := core.DownscaledScenario(3)
-		if err != nil {
-			b.Fatal(err)
-		}
-		s.PostQueueWait = 0
-		return s
-	}
+	base := campaignBenchScenario(b)
 	b.Run("noop", func(b *testing.B) {
-		s := scenario(b)
+		s := *base
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := core.Campaign(s, steps); err != nil {
+			if _, err := core.Campaign(&s, steps); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("observed", func(b *testing.B) {
-		s := scenario(b)
+		s := *base
 		var o *obs.Observer
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			// Fresh observer per run: spans accumulate per campaign, and a
 			// real caller traces one campaign per observer.
 			o = obs.New("campaign", nil)
 			s.Obs = o
-			if _, err := core.Campaign(s, steps); err != nil {
+			if _, err := core.Campaign(&s, steps); err != nil {
 				b.Fatal(err)
 			}
 		}
+		b.StopTimer()
 		// Fault-free: the full hierarchy must have been traced.
 		if spans := o.Spans(); len(spans) < 2*steps+1 {
 			b.Fatalf("observed campaign recorded %d spans, want >= %d", len(spans), 2*steps+1)

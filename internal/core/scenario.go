@@ -46,7 +46,9 @@ type Scenario struct {
 	// allocation ("This can add days to a week of wait time", §4.2).
 	OfflineQueueWait float64
 	// PostQueueWait models the (much shorter) wait for the small Level 2
-	// analysis job.
+	// analysis job. Every combined workflow honours it, Campaign and
+	// ResumableCampaign included; in-transit holds its analysis partition
+	// alongside the run and never waits.
 	PostQueueWait float64
 	// ListenerPoll is the co-scheduling listener's poll interval.
 	ListenerPoll float64
